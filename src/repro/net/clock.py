@@ -10,8 +10,9 @@ asyncio loop, so the same classes run unmodified on a real network:
 * ``now`` is wall time in seconds since the clock started (monotonic,
   from ``loop.time()``), so timeouts and latency histograms read in
   real seconds;
-* ``schedule`` is ``loop.call_later`` behind the same
-  cancel-handle contract as :class:`~repro.sim.kernel.ScheduledEvent`;
+* ``schedule``/``schedule_at`` are ``loop.call_at`` behind the same
+  cancel-handle contract and ``(time, submission order)`` as
+  :class:`~repro.sim.kernel.ScheduledEvent`;
 * ``rng`` derives the same named deterministic streams as the
   simulator's int-seed path, so e.g. heartbeat tick phases stay
   reproducible given a cluster seed;
@@ -43,17 +44,78 @@ __all__ = ["AsyncClock", "ClockScope", "ClockHandle"]
 class ClockHandle:
     """Cancel-handle for a scheduled callback (``ScheduledEvent`` shape)."""
 
-    __slots__ = ("_handle", "cancelled")
+    __slots__ = ("_slot", "_action", "cancelled")
 
-    def __init__(self, handle: asyncio.TimerHandle) -> None:
-        self._handle = handle
+    def __init__(self, slot: Optional["_Slot"], action: Callable[[], None]) -> None:
+        self._slot = slot
+        self._action = action
         self.cancelled = False
 
     def cancel(self) -> None:
         if self.cancelled:
             return
         self.cancelled = True
-        self._handle.cancel()
+        (self._slot or self)._release()
+
+
+class _Slot(ClockHandle):
+    """The first callback due at one exact loop time.  It owns the loop
+    timer, and the timer runs it and every later callback scheduled for
+    the same instant in submission order: asyncio leaves the order of
+    timers due at one instant undefined, the simulator does not.
+
+    Heads and their timers reference each other only until the timer
+    fires or is cancelled, so firing frees them without the collector."""
+
+    __slots__ = ("_clock", "_when", "_timer", "_rest", "_live")
+
+    def __init__(
+        self, clock: "AsyncClock", when: float, action: Callable[[], None]
+    ) -> None:
+        super().__init__(None, action)
+        self._clock = clock
+        self._when = when
+        self._rest: Optional[list] = None
+        self._live = 1
+        self._timer = clock._loop.call_at(when, self)
+
+    def add(self, action: Callable[[], None]) -> ClockHandle:
+        handle = ClockHandle(self, action)
+        if self._rest is None:
+            self._rest = [handle]
+        else:
+            self._rest.append(handle)
+        self._live += 1
+        return handle
+
+    def __call__(self) -> None:  # the loop timer fires
+        self._detach()
+        rest, self._rest, self._timer = self._rest, None, None
+        self._run(self)
+        for handle in rest or ():
+            self._run(handle)
+
+    def _run(self, handle: ClockHandle) -> None:
+        if handle.cancelled:
+            return
+        try:
+            handle._action()
+        except Exception as exc:  # reported per callback, as asyncio does
+            self._clock._loop.call_exception_handler(
+                {"message": "Exception in AsyncClock callback", "exception": exc}
+            )
+
+    def _release(self) -> None:
+        self._live -= 1
+        if not self._live and self._timer is not None:
+            self._timer.cancel()
+            self._timer = self._rest = None
+            self._detach()
+
+    def _detach(self) -> None:
+        slots = self._clock._slots
+        if slots.get(self._when) is self:
+            del slots[self._when]
 
 
 class AsyncClock:
@@ -78,6 +140,7 @@ class AsyncClock:
         self._rngs: Dict[str, np.random.Generator] = {}
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._origin: Optional[float] = None
+        self._slots: Dict[float, _Slot] = {}
 
     # ------------------------------------------------------------------
     def _ensure_loop(self) -> asyncio.AbstractEventLoop:
@@ -113,12 +176,23 @@ class AsyncClock:
     # ------------------------------------------------------------------
     def schedule(self, delay: float, action: Callable[[], None]) -> ClockHandle:
         """Run *action* ``delay`` wall-seconds from now."""
-        loop = self._ensure_loop()
-        return ClockHandle(loop.call_later(max(0.0, delay), action))
+        return self.schedule_at(self.now + max(0.0, delay), action)
 
     def schedule_at(self, time: float, action: Callable[[], None]) -> ClockHandle:
-        """Run *action* at clock time *time* (seconds since start)."""
-        return self.schedule(time - self.now, action)
+        """Run *action* at clock time *time* (seconds since start).
+
+        Callbacks run in ``(time, submission order)``, the simulator's
+        contract: the loop orders distinct instants, and callbacks due
+        at the same instant share one loop timer that runs them in the
+        order they were scheduled.  A time already past runs as soon as
+        the loop gets to it."""
+        self._ensure_loop()
+        when = self._origin + time
+        slot = self._slots.get(when)
+        if slot is not None:
+            return slot.add(action)
+        slot = self._slots[when] = _Slot(self, when, action)
+        return slot
 
     # ------------------------------------------------------------------
     def emit(self, kind: str, node=None, **fields) -> None:

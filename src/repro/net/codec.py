@@ -5,18 +5,19 @@ Binary frame layout (``wire="binary"``, one frame per control message)::
 
      0        1        2        3      4..6        7
     +--------+--------+--------+----------------+------------------+
-    | 0xB1   | tag    | flags  | body length    | packed body      |
+    | 0xB2   | tag    | flags  | body length    | packed body      |
     | magic/ | msg    | bit 0: | 4 bytes,       | (+ _meta sidecar |
     | version| type   | _meta  | big-endian     |  when flags&1)   |
     +--------+--------+--------+----------------+------------------+
 
-The first byte doubles as magic and version: ``0xB1`` is binary
-protocol v1.  Because legacy JSON frames start with a 4-byte big-endian
-body length — and body lengths are bounded by ``max_frame``, far below
-2**31 — a legacy frame's first byte never has the high bit set.  The
-decoder uses exactly that: high bit set means a binary header (any
-value other than ``0xB1`` is an unsupported version and poisons the
-stream); high bit clear means legacy JSON framing::
+The first byte doubles as magic and version: ``0xB2`` is binary
+protocol v2 (v1, ``0xB1``, packed provenance raw and chose schemes by
+entry count; it is no longer spoken).  Because legacy JSON frames start
+with a 4-byte big-endian body length — and body lengths are bounded by
+``max_frame``, far below 2**31 — a legacy frame's first byte never has
+the high bit set.  The decoder uses exactly that: high bit set means a
+binary header (any value other than ``0xB2`` is an unsupported version
+and poisons the stream); high bit clear means legacy JSON framing::
 
     +-------------------+----------------------------------------+
     | 4 bytes, big-end. | UTF-8 JSON body, ``length`` bytes      |
@@ -34,7 +35,8 @@ tag   body                notes
 ====  ==================  =============================================
 0     JSON escape hatch   UTF-8 JSON object; message types the packer
                           does not know keep working on a binary wire
-1     IntervalReport      varint ids/seq + scheme-tagged bounds
+1     IntervalReport      varint ids/seq + interval tree + one bounds
+                          block of reference-relative deltas
 2     Heartbeat           svarint sender
 3     AppMessage          JSON payload + svarint piggyback vector
 4     AttachRequest       svarint child + svarint member list
@@ -54,16 +56,19 @@ wire.
 Timestamp compression
 ---------------------
 ``IntervalReport`` bodies dominate wire volume, and their cost is the
-two length-``n`` vector timestamps — the O(n) factor of the paper's
-Section IV accounting.  A codec instance therefore carries per-channel
-reference state: for each of ``lo``/``hi`` it remembers the previous
-timestamp sent (or received) on this channel and lets
-:func:`repro.clocks.encoding.best_encoding` pick the cheapest of
-raw / sparse / differential for the next one.  The chosen scheme is
-tagged on the wire — a one-byte scheme tag followed by packed varint
-pairs on the binary path, a ``{"e": "sparse", "p": [[i, v], …]}``
-envelope on the JSON path — so the decoder, whose reference state
-advances in lockstep frame by frame, inverts it exactly.
+length-``n`` vector timestamps — the O(n) factor of the paper's
+Section IV accounting — of the head *and* of its aggregation
+provenance.  A codec instance therefore carries per-channel reference
+state: the previous head ``lo``/``hi`` sent (or received) on this
+channel.  On the binary wire the head is packed as deltas against it
+and every provenance part as deltas against its enclosing interval,
+each bound in whichever of raw / sparse / dense packs it into the
+fewest bytes (:mod:`repro.sim.wirepack`).  The JSON wire compresses the
+head only, picking raw / sparse / differential by entry count
+(:func:`repro.clocks.encoding.best_encoding`) and tagging it as a
+``{"e": "sparse", "p": [[i, v], …]}`` envelope.  Either way the
+decoder, whose reference advances in lockstep frame by frame, inverts
+it exactly.
 
 Because the references advance per frame, a codec pair is only coherent
 over an *ordered, gap-free* frame stream: exactly what one TCP
@@ -90,15 +95,12 @@ from ..clocks.encoding import (
 )
 from ..sim.serialize import message_from_dict, message_to_dict
 from ..sim.wirepack import (
-    SCHEME_DIFFERENTIAL,
-    SCHEME_RAW,
-    SCHEME_SPARSE,
     TAG_ACK,
+    TAG_INTERVAL_REPORT,
     TAG_JSON,
     pack_message,
     read_uvarint,
     unpack_message,
-    write_svarint,
     write_uvarint,
 )
 
@@ -106,7 +108,7 @@ __all__ = [
     "FrameCodec",
     "HELLO_TYPE",
     "ACK_TYPE",
-    "MAGIC_BINARY_V1",
+    "MAGIC_BINARY",
     "CODEC_VERSION",
     "WIRE_FORMATS",
 ]
@@ -121,13 +123,13 @@ HELLO_TYPE = "__hello__"
 #: cumulative count of message frames received on that connection.
 ACK_TYPE = "__ack__"
 
-#: First byte of a binary v1 frame.  High bit deliberately set so the
+#: First byte of a binary v2 frame.  High bit deliberately set so the
 #: byte can never be confused with the leading length byte of a legacy
-#: JSON frame; future versions claim 0xB2, 0xB3, …
-MAGIC_BINARY_V1 = 0xB1
+#: JSON frame; v1 was 0xB1, future versions claim 0xB3, …
+MAGIC_BINARY = 0xB2
 
 #: Negotiated protocol version advertised in ``__hello__``.
-CODEC_VERSION = 1
+CODEC_VERSION = 2
 
 WIRE_FORMATS = ("json", "binary")
 
@@ -138,22 +140,12 @@ _BIN_HEADER = struct.Struct(">BBBI")
 #: follows the packed body.
 _FLAG_META = 0x01
 
-#: best_encoding name -> wire scheme byte.
-_SCHEME_BYTES = {
-    "raw": SCHEME_RAW,
-    "sparse": SCHEME_SPARSE,
-    "differential": SCHEME_DIFFERENTIAL,
-}
-
-
-def _pack_pairs(pairs: list) -> bytes:
-    """``(index, value)`` pair list -> uvarint count + packed pairs."""
-    buf = bytearray()
-    write_uvarint(buf, len(pairs))
-    for index, value in pairs:
-        write_uvarint(buf, int(index))
-        write_svarint(buf, int(value))
-    return bytes(buf)
+def _check_meta_shape(meta) -> None:
+    if not isinstance(meta, dict):
+        raise ValueError(
+            f"frame _meta sidecar must be a JSON object, got "
+            f"{type(meta).__name__}"
+        )
 
 
 class FrameCodec:
@@ -174,8 +166,9 @@ class FrameCodec:
         lean wire (bounds only; see ``payload_entries``).
     compress:
         Apply per-channel timestamp compression to ``IntervalReport``
-        bounds.  Both ends of a channel must agree (transports build
-        both codecs from one factory).
+        bounds; ``False`` sends them as they are (raw int64s on the
+        binary wire, plain lists on the JSON wire).  The decoder reads
+        either, since every bound carries its scheme.
     max_frame:
         Hard bound on body size; oversized frames fail loudly on encode
         and poison the stream on decode (the transport drops the
@@ -205,7 +198,9 @@ class FrameCodec:
         self.compress = compress
         self.max_frame = max_frame
         self.max_meta = max_meta
-        #: chosen-scheme counts (encoder side), for tests and benches
+        #: chosen-scheme counts (encoder side), for tests and benches:
+        #: raw/sparse/dense per bound on the binary wire, raw/sparse/
+        #: differential per head bound on the JSON wire
         self.encodings: Counter = Counter()
         self._enc_ref: List[Optional[np.ndarray]] = [None, None]  # lo, hi
         self._dec_ref: List[Optional[np.ndarray]] = [None, None]
@@ -240,16 +235,18 @@ class FrameCodec:
             packed = pack_message(
                 message,
                 include_parts=self.include_parts,
-                bounds=self._encode_bound,
+                reference=self._reference(self._enc_ref),
+                compress=self.compress,
+                tally=self.encodings if self.compress else None,
             )
             if packed is not None:
                 tag, body = packed
+                if tag == TAG_INTERVAL_REPORT:
+                    interval = message.interval
+                    self._enc_ref = [interval.lo, interval.hi]
                 flags = 0
                 if meta is not None:
-                    self._check_meta(meta)
-                    sidecar = json.dumps(meta, separators=(",", ":")).encode(
-                        "utf-8"
-                    )
+                    sidecar = self._meta_bytes(meta)
                     trailer = bytearray()
                     write_uvarint(trailer, len(sidecar))
                     body = body + bytes(trailer) + sidecar
@@ -288,20 +285,24 @@ class FrameCodec:
                 f"frame body of {len(body)} bytes exceeds max_frame "
                 f"({self.max_frame})"
             )
-        return _BIN_HEADER.pack(MAGIC_BINARY_V1, tag, flags, len(body)) + body
+        return _BIN_HEADER.pack(MAGIC_BINARY, tag, flags, len(body)) + body
 
     def _check_meta(self, meta) -> None:
-        """Validate a ``_meta`` sidecar on either side of the wire.
+        """Validate a ``_meta`` sidecar riding inside a JSON body.
 
         Only the *shape* (a JSON object) and *size* are checked — never
         the keys, so newer peers may attach sidecar fields older peers
         simply ignore."""
-        if not isinstance(meta, dict):
-            raise ValueError(
-                f"frame _meta sidecar must be a JSON object, got "
-                f"{type(meta).__name__}"
-            )
-        size = len(json.dumps(meta, separators=(",", ":")).encode("utf-8"))
+        self._meta_bytes(meta)
+
+    def _meta_bytes(self, meta) -> bytes:
+        """A ``_meta`` sidecar's wire bytes, checked for shape and size."""
+        _check_meta_shape(meta)
+        sidecar = json.dumps(meta, separators=(",", ":")).encode("utf-8")
+        self._check_meta_size(len(sidecar))
+        return sidecar
+
+    def _check_meta_size(self, size: int) -> None:
         if size > self.max_meta:
             raise ValueError(
                 f"frame _meta sidecar of {size} bytes exceeds max_meta "
@@ -309,45 +310,10 @@ class FrameCodec:
             )
 
     # -- timestamp channel state (shared by both wire formats) ---------
-    def _encode_bound(self, slot: int, ts: np.ndarray) -> Tuple[int, bytes]:
-        """Binary-path bounds hook: pick a scheme against the channel
-        reference, advance it, emit packed bytes."""
-        ts = np.asarray(ts, dtype=np.int64)
-        reference = self._enc_ref[slot]
-        if reference is not None and reference.shape != ts.shape:
-            reference = None
-        name = "raw"
-        if self.compress:
-            name, _ = best_encoding(ts, reference)
-        if name == "sparse":
-            pairs, _ = encode_sparse(ts)
-            payload = _pack_pairs(pairs)
-        elif name == "differential":
-            pairs, _ = encode_differential(ts, reference)
-            payload = _pack_pairs(pairs)
-        else:
-            payload = np.ascontiguousarray(ts).astype(">i8").tobytes()
-        if self.compress:
-            self.encodings[name] += 1
-        self._enc_ref[slot] = ts
-        return _SCHEME_BYTES[name], payload
-
-    def _decode_bound(
-        self, slot: int, scheme: int, payload: object, n: int
-    ) -> np.ndarray:
-        """Binary-path bounds hook: invert the scheme, advance the
-        decoder reference in lockstep with the encoder's."""
-        if scheme == SCHEME_RAW:
-            ts = np.asarray(payload, dtype=np.int64)
-        elif scheme == SCHEME_SPARSE:
-            ts = np.asarray(decode_sparse(payload, n), dtype=np.int64)
-        else:
-            ts = np.asarray(
-                decode_differential(payload, self._dec_ref[slot], n),
-                dtype=np.int64,
-            )
-        self._dec_ref[slot] = ts
-        return ts
+    @staticmethod
+    def _reference(ref: List[Optional[np.ndarray]]):
+        """The ``(lo, hi)`` reference of a packed report, if any."""
+        return None if ref[0] is None or ref[1] is None else (ref[0], ref[1])
 
     def _compress_interval(self, data: dict) -> None:
         """JSON path: replace the top-level ``lo``/``hi`` lists with
@@ -390,7 +356,7 @@ class FrameCodec:
         while self._buffer:
             first = self._buffer[0]
             if first & 0x80:
-                if first != MAGIC_BINARY_V1:
+                if first != MAGIC_BINARY:
                     raise ValueError(
                         f"unsupported binary wire version byte 0x{first:02x}; "
                         f"stream is corrupt"
@@ -447,21 +413,20 @@ class FrameCodec:
         if tag == TAG_JSON:
             return self._decode_body(body)
         message, offset = unpack_message(
-            tag, body, bounds=self._decode_bound
+            tag, body, reference=self._reference(self._dec_ref)
         )
+        if tag == TAG_INTERVAL_REPORT:
+            interval = message.interval
+            self._dec_ref = [interval.lo, interval.hi]
         meta: Optional[dict] = None
         if flags & _FLAG_META:
             size, offset = read_uvarint(body, offset)
-            if size > self.max_meta:
-                raise ValueError(
-                    f"frame _meta sidecar of {size} bytes exceeds max_meta "
-                    f"({self.max_meta})"
-                )
+            self._check_meta_size(size)
             end = offset + size
             if end > len(body):
                 raise ValueError("truncated _meta sidecar in packed frame")
             meta = json.loads(body[offset:end].decode("utf-8"))
-            self._check_meta(meta)
+            _check_meta_shape(meta)
             offset = end
         if offset != len(body):
             raise ValueError(

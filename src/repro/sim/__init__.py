@@ -12,7 +12,6 @@ from .messages import (
 )
 from .network import (
     Network,
-    WireCodec,
     distance_delay,
     exponential_delay,
     lognormal_delay,
@@ -50,7 +49,6 @@ __all__ = [
     "ProcessEvent",
     "ScheduledEvent",
     "Simulator",
-    "WireCodec",
     "distance_delay",
     "exponential_delay",
     "lognormal_delay",

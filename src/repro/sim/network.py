@@ -22,18 +22,15 @@ All message counts are recorded per plane/type for the experiments.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence
 
 import networkx as nx
 
-from ..clocks.encoding import best_encoding
 from .kernel import Simulator
-from .messages import IntervalReport, payload_entries
+from .messages import payload_entries
 
 __all__ = [
     "Network",
-    "WireCodec",
     "DelayModel",
     "uniform_delay",
     "exponential_delay",
@@ -100,65 +97,12 @@ def distance_delay(
     return sample
 
 
-class WireCodec:
-    """Adaptive timestamp compression for :class:`IntervalReport` wire
-    accounting (Section IV's O(n)-per-message factor).
-
-    Models a sender that picks the cheapest of raw / sparse /
-    differential (:func:`repro.clocks.best_encoding`) for each of a
-    report's two bounds, with the differential reference being the
-    previous report sent on the same ``origin → dest`` channel — the
-    Singhal–Kshemkalyani idealization (sender and receiver share the
-    reference; reordering is resolved by ``transport_seq`` before the
-    reference advances).
-
-    Only the *entries* accounting changes: the simulator still delivers
-    the original message object, so detection output is untouched.
-    Encoding is priced **once per report**: the memo (a small LRU keyed
-    by ``(origin, dest, transport_seq, interval.key())``) lets the
-    centralized baseline's hop-by-hop forwarding charge every hop
-    without re-encoding at each one.
-    """
-
-    __slots__ = ("_refs", "_memo", "_memo_capacity", "encoded_reports", "memo_hits")
-
-    def __init__(self, memo_capacity: int = 4096) -> None:
-        self._refs: Dict[Tuple[int, int], tuple] = {}
-        self._memo: OrderedDict = OrderedDict()
-        self._memo_capacity = memo_capacity
-        self.encoded_reports = 0
-        self.memo_hits = 0
-
-    def entries(self, message: IntervalReport) -> int:
-        """Wire cost of *message* in integer entries (bounds + 2 ids + seq)."""
-        interval = message.interval
-        memo_key = (message.origin, message.dest, message.transport_seq, interval.key())
-        memo = self._memo
-        cached = memo.get(memo_key)
-        if cached is not None:
-            self.memo_hits += 1
-            memo.move_to_end(memo_key)
-            return cached
-        channel = (message.origin, message.dest)
-        lo_ref, hi_ref = self._refs.get(channel, (None, None))
-        _, lo_cost = best_encoding(interval.lo, lo_ref)
-        _, hi_cost = best_encoding(interval.hi, hi_ref)
-        entries = lo_cost + hi_cost + 3
-        self._refs[channel] = (interval.lo, interval.hi)
-        memo[memo_key] = entries
-        if len(memo) > self._memo_capacity:
-            memo.popitem(last=False)
-        self.encoded_reports += 1
-        return entries
-
-
 class Network:
     """Message fabric over a communication graph.
 
-    With ``wire_encoding=True``, :class:`IntervalReport` bandwidth is
-    accounted through a :class:`WireCodec` (compressed entries) instead
-    of :func:`payload_entries` (raw ``2n + 3``); all other counters and
-    all delivery behavior are unchanged.
+    Bandwidth is accounted in vector entries per message
+    (:func:`payload_entries`: ``2n + 3`` for an interval report), the
+    paper's message-size model.
     """
 
     def __init__(
@@ -168,13 +112,11 @@ class Network:
         delay_model: Optional[DelayModel] = None,
         *,
         enforce_edges: bool = True,
-        wire_encoding: bool = False,
     ) -> None:
         self.sim = sim
         self.graph = graph
         self.delay_model = delay_model or uniform_delay()
         self.enforce_edges = enforce_edges
-        self.codec: Optional[WireCodec] = WireCodec() if wire_encoding else None
         self._handlers: Dict[int, Callable[[int, object, str], None]] = {}
         self._dead: set[int] = set()
         # Message counters live in the run's metrics registry
@@ -234,11 +176,6 @@ class Network:
     def _key(self, plane: str, message: object) -> tuple:
         return (plane, type(message).__name__)
 
-    def _entries(self, message: object) -> int:
-        if self.codec is not None and isinstance(message, IntervalReport):
-            return self.codec.entries(message)
-        return payload_entries(message)
-
     # ------------------------------------------------------------------
     def send(self, src: int, dst: int, message: object, plane: str = "app") -> None:
         """One-hop send along an edge (counts one message)."""
@@ -247,7 +184,7 @@ class Network:
         if src in self._dead:
             return
         self.sent[key] += 1
-        self.sent_entries[key] += self._entries(message)
+        self.sent_entries[key] += payload_entries(message)
         self.per_node_sent[src] += 1
         delay = self._delay(src, dst)
 
@@ -282,7 +219,7 @@ class Network:
             self.dropped[key] += 1
             return
         self.sent[key] += 1
-        self.sent_entries[key] += self._entries(message)
+        self.sent_entries[key] += payload_entries(message)
         self.per_node_sent[src] += 1
         delay = self._delay(src, dst)
 

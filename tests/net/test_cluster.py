@@ -21,6 +21,7 @@ import pytest
 
 from repro.monitor import HeartbeatSpec
 from repro.net import (
+    CODEC_VERSION,
     ClusterSpec,
     LocalCluster,
     simulation_script,
@@ -61,6 +62,27 @@ class TestEquivalence:
                 until_detections=len(script.reference), timeout=60
             )
             # Grace period: fail loudly if the network over-detects.
+            await asyncio.sleep(0.2)
+            await cluster.stop()
+            return cluster
+
+        cluster = run(scenario())
+        assert solution_signatures(cluster.detections) == solution_signatures(
+            script.reference
+        )
+
+    def test_zero_spacing_keeps_per_node_order(self):
+        # Every node's whole stream falls due at one instant: the offers
+        # must still reach each core in stream order (an out-of-order
+        # enqueue raises there), and the detections must match.
+        spec = _spec(interval_spacing=0.0)
+        script = simulation_script(spec.tree(), seed=spec.seed, epochs=spec.epochs)
+        assert script.reference
+
+        async def scenario():
+            cluster = LocalCluster(spec, script=script)
+            await cluster.start()
+            await cluster.run(until_detections=len(script.reference), timeout=30)
             await asyncio.sleep(0.2)
             await cluster.stop()
             return cluster
@@ -166,7 +188,8 @@ class TestTcpSmall:
         assert sum(registry.get("repro_net_bytes_sent_total").values()) > 0
         # Every peer hello negotiated the packed wire, and the byte
         # accounting saw the hot message type.
-        assert summary["wire"] == "binary" and summary["codec_version"] >= 1
+        assert summary["wire"] == "binary"
+        assert summary["codec_version"] == CODEC_VERSION == 2
         assert summary["negotiated"]
         assert all(h["wire"] == "binary" for h in summary["negotiated"].values())
         assert summary["bytes_by_type"].get("IntervalReport", 0) > 0

@@ -6,7 +6,7 @@ import pytest
 
 from repro.intervals import Interval
 from repro.net import FrameCodec
-from repro.net.codec import ACK_TYPE, HELLO_TYPE
+from repro.net.codec import ACK_TYPE, HELLO_TYPE, MAGIC_BINARY
 from repro.sim.messages import (
     AppMessage,
     AttachAccept,
@@ -261,7 +261,7 @@ class TestBinaryWire:
     def test_every_message_type_round_trips(self, message):
         enc, dec = _binary(), _binary()
         frame = enc.encode(message)
-        assert frame[0] == 0xB1
+        assert frame[0] == MAGIC_BINARY
         out = dec.decode(frame)
         assert type(out) is type(message)
         if isinstance(message, AppMessage):
@@ -337,7 +337,7 @@ class TestBinaryWire:
 
     def test_ack_goes_packed_on_binary_wire(self):
         frame = _binary().encode({"type": ACK_TYPE, "n": 1 << 20})
-        assert frame[0] == 0xB1
+        assert frame[0] == MAGIC_BINARY
         assert len(frame) < 16
         assert _binary().decode(frame) == {"type": ACK_TYPE, "n": 1 << 20}
 
@@ -348,12 +348,12 @@ class TestBinaryWire:
 
     def test_unsupported_version_byte_poisons_stream(self):
         with pytest.raises(ValueError, match="version"):
-            _binary().feed(b"\xb2\x00\x00\x00\x00\x00\x00")
+            _binary().feed(b"\xb3\x00\x00\x00\x00\x00\x00")
 
     def test_unknown_flags_poison_stream(self):
         import struct
 
-        frame = struct.pack(">BBBI", 0xB1, 2, 0x04, 1) + b"\x02"
+        frame = struct.pack(">BBBI", MAGIC_BINARY, 2, 0x04, 1) + b"\x02"
         with pytest.raises(ValueError, match="flags"):
             _binary().feed(frame)
 
@@ -362,7 +362,7 @@ class TestBinaryWire:
 
         good = _binary().encode(Heartbeat(sender=1))
         _, tag, flags, length = struct.unpack_from(">BBBI", good)
-        bad = struct.pack(">BBBI", 0xB1, tag, flags, length + 2) + good[7:] + b"\x00\x00"
+        bad = struct.pack(">BBBI", MAGIC_BINARY, tag, flags, length + 2) + good[7:] + b"\x00\x00"
         with pytest.raises(ValueError, match="trailing"):
             _binary().feed(bad)
 
@@ -376,7 +376,7 @@ class TestBinaryWire:
 
         dec = FrameCodec(wire="binary", max_frame=64)
         with pytest.raises(ValueError, match="max_frame"):
-            dec.feed(struct.pack(">BBBI", 0xB1, 2, 0, 1 << 20) + b"x" * 8)
+            dec.feed(struct.pack(">BBBI", MAGIC_BINARY, 2, 0, 1 << 20) + b"x" * 8)
 
     def test_escape_hatch_carries_unknown_types_as_json(self, monkeypatch):
         # Simulate a message type the packer does not know: the frame
@@ -386,7 +386,7 @@ class TestBinaryWire:
         monkeypatch.setattr(codec_mod, "pack_message", lambda *a, **k: None)
         enc = _binary()
         frame = enc.encode(Heartbeat(sender=7))
-        assert frame[0] == 0xB1 and frame[1] == 0  # TAG_JSON
+        assert frame[0] == MAGIC_BINARY and frame[1] == 0  # TAG_JSON
         monkeypatch.undo()
         out = _binary().decode(frame)
         assert isinstance(out, Heartbeat) and out.sender == 7
@@ -406,7 +406,7 @@ class TestBinaryWire:
             out = dec.decode(enc.encode(report))
             assert out.interval.lo.tolist() == report.interval.lo.tolist()
             assert out.interval.hi.tolist() == report.interval.hi.tolist()
-        assert enc.encodings["differential"] + enc.encodings["sparse"] > 0
+        assert enc.encodings["dense"] + enc.encodings["sparse"] > 0
 
     def test_shape_change_resets_reference(self):
         enc, dec = _binary(), _binary()
@@ -448,7 +448,7 @@ class TestBinaryMeta:
     def test_meta_round_trips(self):
         tx, rx = _binary(), _binary()
         frame = tx.encode(_report(), meta={"span": [1, 5]})
-        assert frame[0] == 0xB1 and frame[2] & 0x01
+        assert frame[0] == MAGIC_BINARY and frame[2] & 0x01
         ((message, meta),) = rx.feed_meta(frame)
         assert isinstance(message, IntervalReport)
         assert meta == {"span": [1, 5]}
@@ -487,10 +487,182 @@ class TestBinaryMeta:
         # Chop the last sidecar byte and re-declare the shorter length:
         # the sidecar's own length prefix now points past the body.
         body = frame[7:-1]
-        bad = struct.pack(">BBBI", 0xB1, tag, flags, len(body)) + body
+        bad = struct.pack(">BBBI", MAGIC_BINARY, tag, flags, len(body)) + body
         with pytest.raises(ValueError, match="truncated _meta"):
             _binary().feed_meta(bad)
 
     def test_meta_frames_reject_meta(self):
         with pytest.raises(ValueError):
             _binary().encode({"type": ACK_TYPE, "n": 1}, meta={"span": [0, 0]})
+
+    def test_sidecar_serialized_once_per_frame(self, monkeypatch):
+        import json as real_json
+
+        import repro.net.codec as codec_mod
+
+        dumped = []
+
+        class CountingJson:
+            loads = staticmethod(real_json.loads)
+
+            @staticmethod
+            def dumps(obj, **kw):
+                dumped.append(obj)
+                return real_json.dumps(obj, **kw)
+
+        monkeypatch.setattr(codec_mod, "json", CountingJson)
+        meta = {"span": [1, 5], "epochs": [3]}
+        frame = _binary().encode(_report(), meta=meta)
+        assert dumped == [meta]
+        dumped.clear()
+        ((_, got),) = _binary().feed_meta(frame)
+        assert got == meta and dumped == []  # bounded by its length prefix
+
+    def test_non_object_sidecar_poisons_frame_on_decode(self):
+        import struct
+
+        from repro.sim.wirepack import write_uvarint
+
+        frame = _binary().encode(Heartbeat(sender=1))
+        body = bytearray(frame[7:])
+        write_uvarint(body, 5)
+        body += b"[1,2]"
+        bad = struct.pack(">BBBI", MAGIC_BINARY, frame[1], 0x01, len(body)) + body
+        with pytest.raises(ValueError, match="JSON object"):
+            _binary().feed_meta(bytes(bad))
+
+
+def _report_body_parts(body):
+    """Split a packed IntervalReport body into (field count, varint
+    section, schemes + raw sections)."""
+    from repro.sim.wirepack import read_uvarint
+
+    count, offset = read_uvarint(body, 0)
+    length, offset = read_uvarint(body, offset)
+    return count, body[offset : offset + length], body[offset + length :]
+
+
+def _rebuild(frame, count, section, rest):
+    """A binary frame around a report body reassembled from its parts."""
+    import struct
+
+    from repro.sim.wirepack import write_uvarint
+
+    body = bytearray()
+    write_uvarint(body, count)
+    write_uvarint(body, len(section))
+    body += section + rest
+    return struct.pack(">BBBI", frame[0], frame[1], frame[2], len(body)) + bytes(body)
+
+
+def _nested_report(part_hi=(10, 10, 10)):
+    """Head and one part, every bound dense: the part's hi is the last
+    value of the varint section."""
+    part = Interval(
+        owner=2,
+        seq=0,
+        lo=np.array([4, 5, 6], dtype=np.int64),
+        hi=np.array(part_hi, dtype=np.int64),
+    )
+    head = Interval(
+        owner=1,
+        seq=0,
+        lo=np.array([5, 6, 7], dtype=np.int64),
+        hi=np.array([9, 9, 9], dtype=np.int64),
+        members=frozenset({1, 2}),
+        parts=(part,),
+    )
+    return IntervalReport(origin=1, dest=0, interval=head)
+
+
+class TestBinaryV2Poisoning:
+    """Damage inside the v2 report body — the reference-relative bounds
+    block — poisons the stream like any other structural damage."""
+
+    def test_intact_frame_decodes(self):
+        frame = _binary().encode(_nested_report())
+        count, section, rest = _report_body_parts(frame[7:])
+        assert _binary().decode(_rebuild(frame, count, section, rest)).interval.parts
+
+    def test_truncated_part_delta_poisons_stream(self):
+        frame = _binary().encode(_nested_report())
+        count, section, rest = _report_body_parts(frame[7:])
+        assert rest[:4] == bytes([2, 2, 2, 2])  # all four bounds dense
+        bad = _rebuild(frame, count, section[:-1], rest)
+        with pytest.raises(ValueError, match="truncated timestamp deltas"):
+            _binary().feed(bad)
+
+    def test_part_delta_cut_mid_varint_poisons_stream(self):
+        # A +1000 delta zigzags to a two-byte varint; cut after its
+        # first byte, the continuation bit points past the section.
+        frame = _binary().encode(_nested_report(part_hi=(10, 10, 1009)))
+        count, section, rest = _report_body_parts(frame[7:])
+        assert section[-2] & 0x80
+        with pytest.raises(ValueError, match="truncated varint"):
+            _binary().feed(_rebuild(frame, count, section[:-1], rest))
+
+    def test_unknown_scheme_byte_poisons_stream(self):
+        frame = _binary().encode(_nested_report())
+        count, section, rest = _report_body_parts(frame[7:])
+        bad = _rebuild(frame, count, section, bytes([3]) + rest[1:])
+        with pytest.raises(ValueError, match="unknown timestamp scheme byte 3"):
+            _binary().feed(bad)
+
+    def test_v1_frame_poisons_stream(self):
+        frame = _binary().encode(_report())
+        with pytest.raises(ValueError, match="version byte 0xb1"):
+            _binary().feed(b"\xb1" + frame[1:])
+
+    def test_mismatched_part_size_rejected_on_encode(self):
+        part = _interval(owner=2, lo=(1, 0), hi=(2, 0))
+        head = _interval(owner=1, parts=(part,), members=frozenset({1, 2}))
+        with pytest.raises(ValueError, match="provenance part"):
+            _binary().encode(IntervalReport(origin=1, dest=0, interval=head))
+
+    def test_part_repeating_its_parent_costs_a_byte_per_bound(self):
+        leaf = _interval(owner=3, lo=(7, 8, 9), hi=(9, 9, 9))
+        singleton = Interval(
+            owner=3, seq=0, lo=leaf.lo, hi=leaf.hi, parts=(leaf,)
+        )
+        bare = _binary().encode(IntervalReport(origin=3, dest=1, interval=leaf))
+        wrapped = _binary().encode(IntervalReport(origin=3, dest=1, interval=singleton))
+        # One more interval: owner, seq, member count, member, part
+        # count (five one-byte fields) and two sparse bounds with a
+        # zero count each (a scheme byte plus a count byte apiece).
+        assert len(wrapped) - len(bare) == 5 + 2 * 2
+
+
+class TestWireBudget:
+    """Bytes on the wire for a fixed 7-node report stream (binary tree,
+    seed 3, four epochs; two detections): leaf reports carry their own
+    interval as a singleton aggregate, interior reports the nested
+    provenance of their subtree.  v1 sent 3,735 and 4,392 bytes."""
+
+    def test_leaf_and_interior_report_sizes(self, monkeypatch):
+        from repro import EpochConfig, SpanningTree, run_hierarchical
+        from repro.sim.network import Network
+
+        sent = []
+        send = Network.send
+
+        def recording_send(self, src, dst, message, plane="app"):
+            if isinstance(message, IntervalReport):
+                sent.append(message)
+            return send(self, src, dst, message, plane)
+
+        monkeypatch.setattr(Network, "send", recording_send)
+        tree = SpanningTree.regular(2, 3)
+        result = run_hierarchical(
+            tree, seed=3, config=EpochConfig(epochs=4, sync_prob=0.8)
+        )
+        assert len(result.detections) == 2
+        codecs, sizes = {}, {"leaf": [], "interior": []}
+        for report in sent:
+            codec = codecs.setdefault(
+                (report.origin, report.dest), FrameCodec(wire="binary")
+            )
+            kind = "leaf" if tree.is_leaf(report.origin) else "interior"
+            sizes[kind].append(len(codec.encode(report)))
+        assert (len(sizes["leaf"]), sum(sizes["leaf"])) == (16, 668)
+        assert (len(sizes["interior"]), sum(sizes["interior"])) == (6, 606)
+        assert max(sizes["leaf"]) <= 64 and max(sizes["interior"]) <= 128

@@ -123,77 +123,44 @@ class TestDeterminism:
         assert run(5) != run(6)
 
 
-class TestWireEncoding:
-    """IntervalReport bandwidth accounting through the WireCodec."""
+class TestReportBandwidth:
+    """IntervalReport bandwidth: the paper's ``2n + 3`` entries per hop."""
 
     @staticmethod
-    def _report(origin, dest, seq, lo, hi, iv_seq=None):
+    def _report(origin, dest, seq, lo, hi):
         import numpy as np
 
         from repro.intervals import Interval
         from repro.sim import IntervalReport
 
-        interval = Interval(
-            owner=origin,
-            seq=seq if iv_seq is None else iv_seq,
-            lo=np.array(lo),
-            hi=np.array(hi),
-        )
+        interval = Interval(owner=origin, seq=seq, lo=np.array(lo), hi=np.array(hi))
         return IntervalReport(
             origin=origin, dest=dest, interval=interval, transport_seq=seq
         )
 
-    def test_disabled_by_default_uses_raw_entries(self):
+    def test_report_priced_at_payload_entries(self):
         from repro.sim.messages import payload_entries
 
         sim, net = make_net()
-        assert net.codec is None
         report = self._report(0, 1, 0, [1, 0, 0, 0], [2, 0, 0, 0])
         net.send(0, 1, report, plane="control")
         assert net.bandwidth_entries("control") == payload_entries(report)
+        assert payload_entries(report) == 2 * 4 + 3
 
-    def test_first_report_uses_sparse_then_differential(self):
-        sim = Simulator(seed=0)
-        net = Network(sim, line_graph(), uniform_delay(), wire_encoding=True)
-        # Mostly-zero bounds: sparse beats raw (2n+3 = 19 for n=8).
-        first = self._report(0, 1, 0, [1] + [0] * 7, [2] + [0] * 7)
-        net.send(0, 1, first, plane="control")
-        first_cost = net.bandwidth_entries("control")
-        assert first_cost < 19
-        # Next report on the channel differs in one component per bound:
-        # differential is 1 + 2 entries per bound, + 3 header.
-        second = self._report(0, 1, 1, [3] + [0] * 7, [4] + [0] * 7)
-        net.send(0, 1, second, plane="control")
-        assert net.bandwidth_entries("control") - first_cost == (1 + 2) * 2 + 3
+    def test_routed_report_charged_per_hop(self):
+        from repro.sim.messages import payload_entries
 
-    def test_routed_report_encoded_once_charged_per_hop(self):
-        sim = Simulator(seed=0)
-        net = Network(sim, line_graph(4), uniform_delay(), wire_encoding=True)
+        sim, net = make_net(line_graph(4))
         report = self._report(0, 3, 0, [1, 0, 0, 0], [2, 0, 0, 0])
         net.send_routed([0, 1, 2, 3], report, plane="control")
         sim.run()
-        assert net.codec.encoded_reports == 1
-        assert net.codec.memo_hits == 2  # hops 2 and 3 reuse the price
-        per_hop = net.bandwidth_entries("control") // 3
-        assert net.bandwidth_entries("control") == 3 * per_hop
-
-    def test_references_are_per_channel(self):
-        sim = Simulator(seed=0)
-        net = Network(sim, line_graph(4), uniform_delay(), wire_encoding=True)
-        net.send(0, 1, self._report(0, 1, 0, [5] * 4, [6] * 4), plane="control")
-        dense_first = net.bandwidth_entries("control")
-        assert dense_first == 2 * 4 + 3  # dense vectors: raw wins
-        # A different origin->dest pair must not see channel (0,1)'s
-        # reference: its first report prices from scratch.
-        net.send(1, 2, self._report(1, 2, 0, [5] * 4, [6] * 4), plane="control")
-        assert net.bandwidth_entries("control") == 2 * dense_first
+        assert net.bandwidth_entries("control") == 3 * payload_entries(report)
 
     def test_delivery_payload_untouched(self):
-        sim = Simulator(seed=0)
-        net = Network(sim, line_graph(), uniform_delay(), wire_encoding=True)
+        sim, net = make_net()
         got = []
         net.attach(1, lambda src, message, plane: got.append(message))
         report = self._report(0, 1, 0, [1, 0], [2, 0])
         net.send(0, 1, report, plane="control")
         sim.run()
-        assert got == [report]  # accounting only; the object rides through
+        assert got == [report]  # the object rides through
